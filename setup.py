@@ -5,23 +5,8 @@ editable path (which builds an editable wheel) cannot run.  Keeping a
 ``setup.py`` and omitting ``[build-system]`` from ``pyproject.toml``
 makes ``pip install -e .`` take the legacy ``setup.py develop`` route,
 which works offline.  All metadata lives in ``pyproject.toml``.
-
-The compiled sim backend (``repro.sim._cengine``) is an *optional*
-extension: ``make compiled`` (or ``python setup.py build_ext
---inplace``) builds it in place, and a missing compiler degrades to a
-warning so pure-Python installs keep working (the engine falls back to
-the ``python`` backend at runtime — see ``repro/sim/backend.py``).
 """
 
-from setuptools import Extension, setup
+from setuptools import setup
 
-setup(
-    ext_modules=[
-        Extension(
-            "repro.sim._cengine",
-            sources=["src/repro/sim/_cengine.c"],
-            extra_compile_args=["-O3"],
-            optional=True,
-        )
-    ],
-)
+setup()

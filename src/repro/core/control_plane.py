@@ -55,10 +55,9 @@ def wire_tester_fabric(
 class ControlPlane:
     """Deploys configurations and orchestrates test runs.
 
-    ``sim_backend`` selects the run-loop backend ("auto", "python",
-    "compiled" — see :mod:`repro.sim.backend`) for the simulator the
-    control plane constructs; it cannot be combined with an explicit
-    ``sim`` (whose backend was fixed at its construction).
+    Runs on ``sim`` when given, else on a fresh :class:`Simulator` (the
+    one pure-Python engine).  ``sim_backend`` is kept for e2ebench,
+    which passes ``None``; any other value raises :class:`ConfigError`.
     """
 
     def __init__(
@@ -67,12 +66,12 @@ class ControlPlane:
         *,
         sim_backend: Optional[str] = None,
     ) -> None:
-        if sim is not None and sim_backend is not None:
+        if sim_backend is not None:
             raise ConfigError(
-                "pass either an existing sim or sim_backend, not both "
-                "(the backend of an existing Simulator is already fixed)"
+                f"sim_backend={sim_backend!r} is not supported: there is one "
+                "engine; omit the argument"
             )
-        self.sim = sim if sim is not None else Simulator(backend=sim_backend)
+        self.sim = sim if sim is not None else Simulator()
         self.tester: Optional[MarlinTester] = None
         self.topology: Optional[Topology] = None
         self.fabric: Optional[NetworkSwitch] = None

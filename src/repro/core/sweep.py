@@ -138,19 +138,16 @@ def run_sweep_point(
     ecn_threshold_bytes: int = 84_000,
     base_params: Optional[dict[str, Any]] = None,
     seed: int = 0,
-    sim_backend: Optional[str] = None,
 ) -> SweepPoint:
     """One grid point: a fan-in congestion scenario under one setting.
 
     A pure top-level function (no closures) so it pickles cleanly into
     :class:`~repro.parallel.CampaignRunner` workers; ``seed`` feeds the
     deployed :class:`TestConfig` so replicates are reproducible.
-    ``sim_backend`` picks the run-loop backend per task (backends are
-    bit-identical, so it changes wall-clock speed, never the point).
     """
     params = dict(base_params or {})
     params.update(grid_params)
-    cp = ControlPlane(sim_backend=sim_backend)
+    cp = ControlPlane()
     tester = cp.deploy(
         TestConfig(
             cc_algorithm=algorithm,
@@ -226,7 +223,6 @@ def sweep_campaign(
     workers: int = 1,
     seeds: Union[int, Sequence[int], None] = None,
     seed: int = 0,
-    sim_backend: Optional[str] = None,
     runner: Optional[CampaignRunner] = None,
     on_heartbeat: Optional[Callable[[Heartbeat], None]] = None,
 ) -> tuple[list[SweepPoint], CampaignResult]:
@@ -254,7 +250,6 @@ def sweep_campaign(
                 "ecn_threshold_bytes": ecn_threshold_bytes,
                 "base_params": base_params,
                 "seed": replicate_seed,
-                "sim_backend": sim_backend,
             },
         )
         for grid_params in param_grid
@@ -295,7 +290,6 @@ def cc_parameter_sweep(
     workers: int = 1,
     seeds: Union[int, Sequence[int], None] = None,
     seed: int = 0,
-    sim_backend: Optional[str] = None,
     runner: Optional[CampaignRunner] = None,
     on_heartbeat: Optional[Callable[[Heartbeat], None]] = None,
 ) -> list[SweepPoint]:
@@ -318,7 +312,6 @@ def cc_parameter_sweep(
         workers=workers,
         seeds=seeds,
         seed=seed,
-        sim_backend=sim_backend,
         runner=runner,
         on_heartbeat=on_heartbeat,
     )

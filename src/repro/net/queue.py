@@ -15,11 +15,6 @@ from typing import Optional
 
 from repro.net.packet import Packet
 
-try:  # the compiled queue core (see repro.sim._cengine: CQueue)
-    from repro.sim import _cengine as _C
-except Exception:  # pragma: no cover - extension not built
-    _C = None
-
 
 class QueueStats:
     """Counters exposed by every queue (readable like hardware registers).
@@ -164,27 +159,8 @@ class _PyDropTailQueue:
         return packet
 
 
-if _C is not None:
-    class DropTailQueue(_C.CQueue):
-        """FIFO with a byte-capacity bound; arrivals beyond capacity are
-        dropped.
-
-        Compiled variant: the ring buffer, counters, ECN compare, and
-        the rare-path hooks all live in :class:`repro.sim._cengine.CQueue`
-        with semantics identical to :class:`_PyDropTailQueue` (which is
-        the class you get when the extension isn't built)."""
-
-        __slots__ = ()
-
-        def __init__(self, capacity_bytes: int) -> None:
-            if capacity_bytes <= 0:
-                raise ValueError(
-                    f"capacity must be positive, got {capacity_bytes}"
-                )
-            _C.CQueue.__init__(self, capacity_bytes)
-            self.stats = QueueStats(self)
-else:  # pragma: no cover - exercised on builds without the extension
-    DropTailQueue = _PyDropTailQueue
+#: Kept for e2ebench, whose run stamp pins the ``_PyDropTailQueue`` name.
+DropTailQueue = _PyDropTailQueue
 
 
 class EcnQueue(DropTailQueue):

@@ -137,19 +137,12 @@ def git_sha(cwd: Optional[Union[str, Path]] = None) -> Optional[str]:
 def environment() -> dict[str, Any]:
     """The execution-environment block shared by manifests and bench
     reports (satellite: BENCH_*.json comparability across machines)."""
-    # Imported lazily: manifests are built from contexts (serve workers,
-    # bench harnesses) that must not pay the sim import unless asked.
-    from repro.sim import backend as _sim_backend
-
     return {
         "git_sha": git_sha(),
         "python_version": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
-        #: What a Simulator constructed in this process would run on:
-        #: requested/effective backend plus any fallback reason.
-        "sim_backend": _sim_backend.stamp(),
     }
 
 

@@ -8,11 +8,12 @@ attributes the wall-clock cost to the callback's *owner*:
 * a bound method is attributed to its class (``PortScheduler._tick``),
 * a plain function to its qualified name (``bench.<locals>.tick``).
 
-Profiling is strictly opt-in — the engine's default run loop is
-untouched; a profiled run uses a separate loop so the unprofiled hot
-path pays nothing (see ``docs/PERFORMANCE.md``).  Timing callbacks does
-not change their order or the simulation clock, so profiled runs produce
-bit-identical results.
+Profiling is strictly opt-in.  The engine has one run loop, shared by
+``run()`` and ``step()``; an enabled profiler attaches as that loop's
+``dispatch`` hook, and without one callbacks are called inline, so the
+unprofiled hot path pays one branch per event (see
+``docs/PERFORMANCE.md``).  Timing callbacks does not change their order
+or the simulation clock, so profiled runs produce bit-identical results.
 """
 
 from __future__ import annotations

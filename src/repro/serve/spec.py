@@ -13,7 +13,7 @@ Spec kinds:
 ``sweep``
     ``{"kind": "sweep", "algorithm": "dcqcn", "grid": [{...}, ...],
     "n_senders": 3, "duration_ms": 6.0, "ecn_threshold_bytes": 84000,
-    "seeds": null, "seed": 0, "sim_backend": "auto"}``
+    "seeds": null, "seed": 0}``
 
 ``fluid``
     ``{"kind": "fluid", "algorithms": ["dctcp"], "workload":
@@ -43,12 +43,6 @@ _SWEEP_DEFAULTS: dict[str, Any] = {
     "ecn_threshold_bytes": 84_000,
     "seeds": None,
     "seed": 0,
-    # Run-loop backend per task.  Normalized into the hashed config:
-    # spelling out "auto" and omitting the field cache identically, but
-    # forcing "python"/"compiled" is a distinct (separately cached)
-    # campaign even though backends are bit-identical — the stats block
-    # in the cached payload records wall-clock facts of that backend.
-    "sim_backend": "auto",
 }
 
 _FLUID_DEFAULTS: dict[str, Any] = {
@@ -134,7 +128,6 @@ class CampaignSpec:
                 ecn_threshold_bytes=c["ecn_threshold_bytes"],
                 seeds=c["seeds"],
                 seed=c["seed"],
-                sim_backend=None if c["sim_backend"] == "auto" else c["sim_backend"],
                 runner=runner,
                 on_heartbeat=on_heartbeat,
             )
@@ -211,17 +204,6 @@ def _parse_sweep(payload: dict[str, Any]) -> CampaignSpec:
         seeds = _as_int(seeds, "seeds", minimum=1)
     config["seeds"] = seeds
     config["seed"] = _as_int(merged["seed"], "seed", minimum=0)
-    sim_backend = merged["sim_backend"]
-    if sim_backend is None:
-        sim_backend = "auto"
-    from repro.sim.backend import backend_names
-
-    _require(
-        sim_backend in backend_names(),
-        f"'sim_backend' must be one of {list(backend_names())}, "
-        f"got {sim_backend!r}",
-    )
-    config["sim_backend"] = sim_backend
     n_tasks = len(grid) * (seeds or 1)
     return CampaignSpec(kind="sweep", config=config, n_tasks=n_tasks)
 

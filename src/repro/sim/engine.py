@@ -20,6 +20,12 @@ Hot-path design (see ``docs/PERFORMANCE.md``):
 The two entry shapes are distinguished by an identity test on slot 3
 (a fast event's args tuple vs. the ``_HANDLE`` marker), which is cheaper
 than a ``len()`` call on the pop path.
+
+There is one run loop, :func:`_run_loop`, behind :meth:`Simulator.run`;
+:meth:`Simulator.step` is ``run(max_events=1)``, and the profiler
+attaches through the loop's ``dispatch`` hook, so stepped, bounded,
+profiled and plain runs share every line of the pop / stale-skip /
+lazy-re-arm logic.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ import heapq
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.sim import backend as _backend
 
 #: Compaction triggers when at least this many dead entries exist *and*
 #: they make up at least half the heap.
@@ -114,6 +119,90 @@ class EventHandle:
 Event = EventHandle
 
 
+def _run_loop(
+    sim: "Simulator",
+    until: int,
+    limit: int,
+    dispatch: Optional[Callable[[Callable, tuple], None]],
+) -> int:
+    """Drain ``sim``'s heap up to time ``until`` or ``limit`` events
+    (``-1``: no limit); the one loop behind :meth:`Simulator.run` and
+    :meth:`Simulator.step`.
+
+    ``dispatch`` is ``None`` to call callbacks inline, or the profiler
+    hook ``dispatch(fn, args)``.  Batched same-timestamp dispatch: the
+    inner loop keeps popping while the heap root carries the current
+    timestamp, skipping the clock store and horizon compare that the
+    outer loop pays once per distinct time.  Partial event counts are
+    folded into ``sim._events_executed`` even when a callback raises.
+    """
+    executed = 0
+    heap = sim._heap
+    pop = _heappop
+    push = _heappush
+    marker = _HANDLE
+    inline = dispatch is None
+    # ``_stopped`` and ``executed`` only change as a result of
+    # dispatching an event, and ``run()`` clears ``_stopped`` (and
+    # rejects ``max_events <= 0``) before entering: the post-event check
+    # inside the batch loop is sufficient, so the outer loop only has to
+    # test the heap.
+    try:
+        while heap:
+            entry = pop(heap)
+            time_ps = entry[0]
+            if time_ps > until:
+                # Past the horizon: put the entry back (same seq, so
+                # ordering is untouched) and stop.
+                push(heap, entry)
+                break
+            sim.now = time_ps
+            while True:
+                args = entry[3]
+                if args is not marker:
+                    fn = entry[2]
+                    if inline:
+                        fn(*args)
+                    else:
+                        dispatch(fn, args)
+                    executed += 1
+                else:
+                    handle = entry[2]
+                    if handle.seq != entry[1]:
+                        # Lazily cancelled/superseded: skip silently.
+                        sim._dead -= 1
+                    elif handle.target_ps > time_ps:
+                        # Lazy re-arm: push the reused entry at its new
+                        # time.
+                        seq = sim._seq
+                        sim._seq = seq + 1
+                        handle.seq = seq
+                        handle.time_ps = handle.target_ps
+                        push(heap, (handle.target_ps, seq, handle, marker))
+                    else:
+                        handle.seq = -1
+                        fn = handle.fn
+                        hargs = handle.args
+                        if inline:
+                            fn(*hargs)
+                        else:
+                            dispatch(fn, hargs)
+                        executed += 1
+                if sim._stopped or executed == limit:
+                    return executed
+                # Same-timestamp batch: keep dispatching equal-time
+                # entries (including ones the callback just scheduled —
+                # they carry higher seqs, so pop order is unchanged)
+                # without re-storing the clock or re-checking the
+                # horizon.
+                if not heap or heap[0][0] != time_ps:
+                    break
+                entry = pop(heap)
+    finally:
+        sim._events_executed += executed
+    return executed
+
+
 class Simulator:
     """The event loop.
 
@@ -121,14 +210,14 @@ class Simulator:
     to each other exclusively by scheduling callbacks on it.  Time is an
     integer number of picoseconds (see :mod:`repro.units`).
 
-    ``backend`` selects the run-loop implementation (see
-    :mod:`repro.sim.backend`): ``None`` consults ``REPRO_SIM_BACKEND``
-    and defaults to ``auto`` (the compiled loop when built, else the
-    reference python loop).  Every backend shares this instance's state
-    and must produce bit-identical event streams.
+    There is one engine, in pure Python.
     """
 
-    def __init__(self, backend: Optional[str] = None) -> None:
+    #: Kept for e2ebench, whose run stamp reads these two names.
+    backend_name = "python"
+    backend_requested = "python"
+
+    def __init__(self) -> None:
         self.now: int = 0
         self._heap: list[tuple] = []
         self._seq: int = 0
@@ -142,25 +231,12 @@ class Simulator:
         #: Times the heap was compacted to reclaim dead entries.
         self.compactions: int = 0
         #: Opt-in wall-clock profiler (see :meth:`enable_profiling`).
-        #: ``None`` keeps the default run loop completely untouched.
+        #: ``None`` keeps callbacks dispatched inline, with no hook.
         self._profiler = None
         #: Opt-in flight recorder (see :mod:`repro.obs.flight`).  Only
         #: consulted on the rare paths — cancel, re-arm-earlier,
-        #: compaction — never in the run loops.
+        #: compaction — never in the run loop.
         self._flight = None
-        resolved = _backend.resolve(backend)
-        #: Effective backend name ("python" or "compiled").
-        self.backend_name = resolved.name
-        #: What was asked for ("auto", "python", "compiled").
-        self.backend_requested = resolved.requested
-        #: Why an explicit request degraded to python, or ``None``.
-        self.backend_fallback_reason = resolved.fallback_reason
-        self._run_loop = resolved.run_loop
-        if resolved.attach is not None:
-            # The compiled backend rebinds the fast-path scheduling
-            # methods on the *instance* to C implementations sharing
-            # this object's heap/seq/clock storage.
-            resolved.attach(self)
 
     # -- scheduling ---------------------------------------------------------
 
@@ -281,62 +357,26 @@ class Simulator:
 
     # -- execution ----------------------------------------------------------
 
-    def _pop_runnable(self) -> Optional[tuple]:
-        """Pop entries until one is live, handling stale skips and lazy
-        re-arms.  Returns ``(time_ps, fn, args)`` or None when drained."""
-        heap = self._heap
-        while heap:
-            entry = _heappop(heap)
-            if entry[3] is not _HANDLE:
-                return (entry[0], entry[2], entry[3])
-            handle = entry[2]
-            if handle.seq != entry[1]:
-                self._dead -= 1
-                continue
-            if handle.target_ps > entry[0]:
-                seq = self._seq
-                self._seq = seq + 1
-                handle.seq = seq
-                handle.time_ps = handle.target_ps
-                _heappush(heap, (handle.target_ps, seq, handle, _HANDLE))
-                continue
-            handle.seq = -1
-            return (entry[0], handle.fn, handle.args)
-        return None
-
     def step(self) -> bool:
         """Execute the next pending event.  Returns False when none remain.
 
-        Mirrors :meth:`run` semantics: reentrant use raises, and a
+        Exactly ``run(max_events=1)``: reentrant use raises, and a
         leftover :meth:`stop` request from an earlier run is cleared.
         """
-        if self._running:
-            raise SimulationError("simulator is already running (reentrant step())")
-        self._stopped = False
-        self._running = True
-        try:
-            item = self._pop_runnable()
-            if item is None:
-                return False
-            self.now = item[0]
-            item[1](*item[2])
-            self._events_executed += 1
-            return True
-        finally:
-            self._running = False
+        return self.run(max_events=1) == 1
 
     def run(self, until_ps: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run until the queue drains, ``until_ps`` is reached, or
         ``max_events`` events have executed.  Returns events executed.
 
-        When ``until_ps`` is given, the clock is advanced to exactly
-        ``until_ps`` on return, and events scheduled later stay queued.
+        When ``until_ps`` is given, events scheduled later stay queued
+        and the clock is advanced to exactly ``until_ps`` on return,
+        unless :meth:`stop` ended the run or ``max_events`` ended it
+        with events at or before ``until_ps`` still queued.
 
-        The loop itself lives in the selected backend (see
-        :mod:`repro.sim.backend`); this method owns the reentrancy
-        guard, the profiler dispatch hook, and the final clock advance.
-        The backend folds partial event counts into
-        ``_events_executed`` even when a callback raises.
+        This method owns the reentrancy guard, the profiler dispatch
+        hook and the final clock advance; :func:`_run_loop` drains the
+        heap.
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run())")
@@ -356,11 +396,21 @@ class Simulator:
         self._running = True
         self._stopped = False
         try:
-            executed = self._run_loop(self, until_ps, max_events, dispatch)
+            executed = _run_loop(
+                self,
+                (1 << 62) if until_ps is None else until_ps,
+                -1 if max_events is None else max_events,
+                dispatch,
+            )
         finally:
             self._running = False
+        # Advance to the horizon only when nothing at or before it is
+        # left: a run cut short by stop() or by max_events keeps the
+        # clock at its last event, so the next run never moves it back.
         if until_ps is not None and not self._stopped and self.now < until_ps:
-            self.now = until_ps
+            heap = self._heap
+            if not heap or heap[0][0] > until_ps:
+                self.now = until_ps
         return executed
 
     def stop(self) -> None:
@@ -389,7 +439,7 @@ class Simulator:
         return profiler
 
     def disable_profiling(self) -> None:
-        """Detach the profiler; the default run loop takes over again."""
+        """Detach the profiler; callbacks are dispatched inline again."""
         self._profiler = None
 
     def profile(self) -> Any:

@@ -17,6 +17,12 @@ def deployed(**cfg):
 
 
 class TestControlPlane:
+    def test_sim_backend_accepts_only_none(self):
+        assert ControlPlane(sim_backend=None).sim.backend_name == "python"
+        for value in ("python", "compiled", "auto"):
+            with pytest.raises(ConfigError, match="sim_backend"):
+                ControlPlane(sim_backend=value)
+
     def test_double_deploy_rejected(self):
         cp = ControlPlane()
         cp.deploy(TestConfig(n_test_ports=2))

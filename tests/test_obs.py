@@ -205,6 +205,21 @@ class TestProfiler:
         assert owners == ["Ticker.tick"]
         assert "Ticker.tick" in report.table()
 
+    def test_step_records_its_callback(self):
+        """step() runs through the same loop as run(), dispatch hook
+        included, so a stepped event is attributed too."""
+        sim = Simulator()
+        sim.enable_profiling()
+
+        def stepped():
+            pass
+
+        sim.at(5, stepped)
+        assert sim.step() is True
+        (row,) = sim.profile().rows
+        assert row.calls == 1
+        assert "stepped" in row.owner
+
     def test_profile_requires_enable(self):
         from repro.errors import SimulationError
 
@@ -212,8 +227,8 @@ class TestProfiler:
             Simulator().profile()
 
     def test_profiled_run_is_identical(self):
-        """The _run_profiled loop must execute the same events in the
-        same order as the hot path."""
+        """The profiler's dispatch hook must not change which events run
+        or their order."""
 
         def scenario(profiled):
             cp = ControlPlane()

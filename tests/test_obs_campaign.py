@@ -138,10 +138,8 @@ class TestManifest:
         env = environment()
         assert set(env) == {
             "git_sha", "python_version", "implementation", "platform", "cpu_count",
-            "sim_backend",
         }
         assert env["cpu_count"] >= 1
-        assert set(env["sim_backend"]) == {"requested", "name", "fallback_reason"}
 
     def test_build_manifest(self):
         manifest = build_manifest(

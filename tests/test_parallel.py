@@ -364,3 +364,20 @@ class TestFluidCampaign:
         assert campaign.stats()["events_total"] == sum(
             point.flows_total for point in parallel
         )
+
+
+class TestCampaignDeterminism:
+    def test_workers_bit_identical(self):
+        """Sharding a campaign across a pool must not change any point."""
+        grid = [{}, {"g": 0.0625}]
+        results = {}
+        for workers in (1, 2):
+            points, _ = sweep_campaign(
+                "dctcp",
+                grid,
+                duration_ps=MS,
+                seeds=2,
+                workers=workers,
+            )
+            results[workers] = points
+        assert results[1] == results[2]

@@ -63,6 +63,10 @@ class TestParseSpec:
             ({"kind": "fluid", "algorithms": ["martian"]}, "unknown fluid profile"),
             ({"kind": "fluid", "algorithms": ["dctcp"], "workload": "x"}, "workload"),
             ({"kind": "fluid", "algorithms": ["dctcp"], "backend": "gpu"}, "backend"),
+            (
+                {"kind": "sweep", "algorithm": "dcqcn", "sim_backend": "python"},
+                "unknown spec field",
+            ),
         ],
     )
     def test_bad_specs_rejected(self, payload, match):
